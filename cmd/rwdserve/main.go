@@ -11,7 +11,7 @@
 //	         -default-deadline 2s -max-deadline 30s
 //
 // Endpoints: POST /v1/containment /v1/membership /v1/validate /v1/infer
-// /v1/analyze /v1/batch /v1/corpora; GET /v1/corpora /v1/traces
+// /v1/analyze /v1/batch /v1/corpora; GET /v1/corpora /v1/traces /v1/stats
 // /v1/traces/{id} /healthz /metrics.
 // With -store-dir the server opens (or creates) a persistent corpus
 // store there: POST /v1/corpora ingests triples or query logs, and
@@ -19,12 +19,16 @@
 // instead of inline queries. See the README "Service API" and
 // "Persistent store" sections for request shapes and curl examples.
 //
-// Every finished request's span tree lands in the always-on flight
+// Every request runs under a root span, and every metric series about
+// requests on GET /metrics is derived from that span when it finishes.
+// Each finished request's span tree lands in the always-on flight
 // recorder (bounded ring, -trace-capacity / -trace-max-bytes) behind
 // GET /v1/traces; with -trace-dir the traces are also appended to a
 // size-rotated NDJSON log that survives restarts and is readable with
 // the rwdtrace CLI. Every /v1/* response carries an X-Trace-Id header
-// naming its recorded trace. See the README "Trace history" section.
+// naming its recorded trace. To find slow requests, use
+// GET /v1/traces?sort=slowest or the anomalies of GET /v1/stats. See
+// the README "Trace history" section.
 //
 // SIGTERM or SIGINT starts a graceful drain: the listener closes, in-
 // flight requests finish (bounded by -drain-timeout), then the process
@@ -66,10 +70,6 @@ func main() {
 	analyzeWorkers := flag.Int("analyze-workers", 0, "worker pool bound for /v1/analyze; 0 = one per CPU")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"how long a graceful shutdown waits for in-flight requests")
-	slowOpThreshold := flag.Duration("slow-op-threshold", 500*time.Millisecond,
-		"span duration above which a structured slow-op line is logged")
-	slowOpSample := flag.Int64("slow-op-sample", 1,
-		"log 1 of every N slow spans (the rest are only counted)")
 	debugAddr := flag.String("debug-addr", "",
 		"optional private address for the pprof debug server (e.g. localhost:6060); empty disables")
 	storeDir := flag.String("store-dir", "",
@@ -108,8 +108,6 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		CacheSize:       *cacheSize,
 		AnalyzeWorkers:  *analyzeWorkers,
-		SlowOpThreshold: *slowOpThreshold,
-		SlowOpSample:    *slowOpSample,
 		TraceCapacity:   *traceCapacity,
 		TraceMaxBytes:   *traceMaxBytes,
 		TraceLog:        traceLog,

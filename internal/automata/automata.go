@@ -486,22 +486,6 @@ func (d *DFA) IsEmpty() bool {
 	return true
 }
 
-// ToNFA converts d to an equivalent NFA.
-func (d *DFA) ToNFA() *NFA {
-	n := NewNFA(d.NumStates)
-	n.Initial = []int{0}
-	for q, m := range d.Trans {
-		for a, p := range m {
-			n.AddTransition(q, a, p)
-		}
-	}
-	for q := range d.Final {
-		n.Final[q] = true
-	}
-	n.WithAlphabet(d.Alphabet)
-	return n
-}
-
 // Contains reports whether L(e1) ⊆ L(e2), deciding
 // L(e1) ∩ complement(L(e2)) = ∅ with the antichain engine of
 // antichain.go: a lazy product of the Glushkov NFA of e1 with the

@@ -1,10 +1,10 @@
 // Package metrics is a lightweight, dependency-free counter / gauge /
 // histogram registry rendered in the Prometheus text exposition format.
 // It covers exactly what the rwdserve observability surface needs:
-// labeled counters (requests by endpoint and code), gauges and gauge
-// callbacks (in-flight requests, cache occupancy), and latency histograms
-// with cumulative buckets. All metric operations are safe for concurrent
-// use and lock-free on the hot path (atomics only).
+// labeled counters (requests by endpoint and code), gauges, scrape-time
+// gauge and counter callbacks (in-flight requests, cache hits), and
+// latency histograms with cumulative buckets. All metric operations are
+// safe for concurrent use and lock-free on the hot path (atomics only).
 package metrics
 
 import (
@@ -35,7 +35,6 @@ type familyKind int
 const (
 	kindCounter familyKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -61,7 +60,7 @@ type family struct {
 	mu       sync.Mutex
 	children map[string]*child
 	order    []string
-	fn       func() float64 // kindGaugeFunc only
+	fn       func() float64 // scrape-time value (GaugeFunc, CounterFunc); nil otherwise
 }
 
 // child is the concrete time series for one label-value combination.
@@ -179,7 +178,16 @@ func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{v.f.child(value
 // (used for values owned elsewhere, e.g. cache occupancy or semaphore
 // depth). f must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, f func() float64) {
-	fam := r.register(name, help, kindGaugeFunc, nil)
+	fam := r.register(name, help, kindGauge, nil)
+	fam.fn = f
+}
+
+// CounterFunc registers a counter whose value is computed by f at scrape
+// time, like GaugeFunc but exposed as TYPE counter: for cumulative
+// totals owned elsewhere (cache hits, recorder evictions). f must be
+// safe for concurrent use and must never decrease.
+func (r *Registry) CounterFunc(name, help string, f func() float64) {
+	fam := r.register(name, help, kindCounter, nil)
 	fam.fn = f
 }
 
@@ -238,7 +246,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		if f.kind == kindGaugeFunc {
+		if f.fn != nil {
 			if _, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn())); err != nil {
 				return err
 			}

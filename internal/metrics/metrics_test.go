@@ -51,6 +51,17 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 	}
 }
 
+func TestCounterFuncTypedCounter(t *testing.T) {
+	r := NewRegistry()
+	hits := 0
+	r.CounterFunc("hits_total", "Hits.", func() float64 { return float64(hits) })
+	hits = 7
+	out := render(t, r)
+	if !strings.Contains(out, "# TYPE hits_total counter\nhits_total 7\n") {
+		t.Fatalf("counter func missing or mistyped:\n%s", out)
+	}
+}
+
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramVec("latency_seconds", "Latency.", []float64{0.1, 1, 10}, "endpoint")

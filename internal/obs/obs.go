@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the repository: a
-// context-carried span tracer with per-span cost accounting, a
-// process-wide sampled slow-operation log, and process-wide cost
-// counters for code paths that do not carry a context.
+// context-carried span tracer with per-span cost accounting. A finished
+// span is handed to the tracer's OnFinish hook; the service derives
+// every per-request metric series there, from the finished root span.
 //
 // The paper's central empirical move is instrumenting real workloads
 // (850M queries, ~120 analytical tests each); obs turns our own
@@ -45,12 +45,10 @@ import (
 // Tracer creates root spans and receives every finished span. The zero
 // value is usable; fields may only be set before the first StartRoot.
 type Tracer struct {
-	// OnFinish, when non-nil, observes every finished span (the service
-	// uses it to feed span-duration histograms and cost counters into
-	// the metrics registry). It may be called concurrently.
+	// OnFinish, when non-nil, observes every finished span exactly once
+	// (the service derives its request counters, latency histograms and
+	// cost counters there). It may be called concurrently.
 	OnFinish func(*Span)
-	// Slow, when non-nil, receives finished spans for slow-op logging.
-	Slow *SlowLog
 
 	ids atomic.Uint64
 }
@@ -83,9 +81,8 @@ type Attr struct {
 	Key, Value string
 }
 
-// Counter is a per-span (or process-wide, see Global) atomic cost
-// counter. All methods are safe on a nil receiver, which is what the
-// disabled path hands out.
+// Counter is a per-span atomic cost counter. All methods are safe on a
+// nil receiver, which is what the disabled path hands out.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -196,6 +193,21 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{key, value})
 }
 
+// Attr returns the value of the named annotation, "" if absent or nil.
+func (s *Span) Attr(key string) string {
+	if s == nil {
+		return ""
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range s.attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // Counter returns the span's cost counter with the given name,
 // creating it on first use. Hot loops call this once before the loop
 // and Inc/Add inside it. On a nil span it returns a nil *Counter whose
@@ -257,8 +269,8 @@ func (s *Span) newChild(name string) *Span {
 
 // Finish records the span's duration (monotonic, via the runtime's
 // monotonic clock reading embedded in start) and reports it to the
-// tracer's OnFinish hook and slow-op log. Finish is idempotent; on a
-// nil span it is a no-op.
+// tracer's OnFinish hook. Finish is idempotent; on a nil span it is a
+// no-op.
 func (s *Span) Finish() {
 	if s == nil {
 		return
@@ -271,13 +283,8 @@ func (s *Span) Finish() {
 	s.finished = true
 	s.dur = time.Since(s.start)
 	s.mu.Unlock()
-	if s.tracer != nil {
-		if s.tracer.OnFinish != nil {
-			s.tracer.OnFinish(s)
-		}
-		if s.tracer.Slow != nil {
-			s.tracer.Slow.observe(s)
-		}
+	if s.tracer != nil && s.tracer.OnFinish != nil {
+		s.tracer.OnFinish(s)
 	}
 }
 

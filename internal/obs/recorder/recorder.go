@@ -5,14 +5,14 @@
 // dataset about the deployed system.
 //
 // The paper's thesis is that theoretical cost measures — states
-// expanded, derivative steps, fixpoint rounds — explain real-world
+// expanded, product states, fixpoint rounds — explain real-world
 // performance. The spans of internal/obs record exactly those counters
 // on every request, but before the recorder the evidence evaporated
 // with the response: a span tree was visible only to a client that
-// passed "explain": true, or as a sampled slow-op log line. The
-// recorder retains the trees, so "the 20 slowest containment calls of
-// the last hour and the counters that blew up" is a query
-// (GET /v1/traces?sort=slowest), not a reconstruction.
+// passed "explain": true. The recorder retains the trees, so "the 20
+// slowest containment calls of the last hour and the counters that
+// blew up" is a query (GET /v1/traces?sort=slowest), not a
+// reconstruction.
 //
 // Design constraints:
 //

@@ -1,31 +1,16 @@
 package regex
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "sort"
 
 // Brzozowski derivatives. These provide a membership test that is independent
 // of the Glushkov/automata pipeline and serves as an oracle in property-based
 // tests: for every expression e and word w,
 // automata.Glushkov(e).Accepts(w) must agree with regex.Matches(e, w).
 
-// Process-wide cost counters (the derivative engine is recursive and
-// pure, so it accounts globally rather than per span): derivativeSteps
-// counts Derivative node visits, dedupHits counts alternatives removed
-// by the similarity rule — the quantity that keeps derivative growth
-// polynomial (see unionSimilar). Exported to /metrics by rwdserve.
-var (
-	derivativeSteps = obs.Global("regex_derivative_steps")
-	dedupHits       = obs.Global("regex_similarity_dedup_hits")
-)
-
 // Derivative returns an expression for a⁻¹L(e) = { w | a·w ∈ L(e) }.
 // The result is built with the simplifying constructors to keep growth in
 // check; it is used for membership testing, not for syntactic analysis.
 func Derivative(e *Expr, a string) *Expr {
-	derivativeSteps.Inc()
 	switch e.Kind {
 	case Empty, Epsilon:
 		return NewEmpty()
@@ -99,7 +84,6 @@ func unionSimilar(subs []*Expr) *Expr {
 	if len(kept) == len(u.Subs) {
 		return u
 	}
-	dedupHits.Add(int64(len(u.Subs) - len(kept)))
 	return NewUnion(kept...)
 }
 

@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-func benchServer(b *testing.B, cacheSize int) *Server {
-	b.Helper()
+func benchServer(tb testing.TB, cacheSize int) *Server {
+	tb.Helper()
 	return New(Config{CacheSize: cacheSize, Logger: log.New(io.Discard, "", 0)})
 }
 
-func doContainment(b *testing.B, s *Server, body string) int {
+func doContainment(tb testing.TB, s *Server, body string) int {
 	req := httptest.NewRequest("POST", "/v1/containment", strings.NewReader(body))
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -60,3 +60,38 @@ func BenchmarkServeContainmentCacheHit(b *testing.B) {
 		b.Fatalf("hits = %d, want >= %d", st.Hits, b.N)
 	}
 }
+
+// cacheHitAllocs is the measured allocation count of one cache-hit
+// request of BenchmarkServeContainmentCacheHit (Go 1.24, linux/amd64),
+// request construction included. Lower it when the cheap path gets
+// cheaper; a rise means a request pays for something new.
+const cacheHitAllocs = 135
+
+// TestCacheHitAllocBound pins the cost of the cheap path: a repeated
+// containment request served from the verdict cache through Handler()
+// may not allocate more than cacheHitAllocs times.
+func TestCacheHitAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := benchServer(t, 16)
+	body := `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`
+	if code := doContainment(t, s, body); code != 200 {
+		t.Fatalf("warmup code=%d", code)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if code := doContainment(t, s, body); code != 200 {
+			t.Fatalf("code=%d", code)
+		}
+	})
+	if allocs > cacheHitAllocs {
+		t.Fatalf("cache hit allocates %v times per request, want <= %d", allocs, cacheHitAllocs)
+	}
+	if st := s.CacheStats(); st.Hits < 200 {
+		t.Fatalf("hits = %d, want >= 200", st.Hits)
+	}
+}
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops
+// items at random and allocation counts stop being repeatable.
+var raceEnabled bool

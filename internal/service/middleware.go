@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,52 +147,56 @@ func (g *slotGuard) maybeReleaseLocked() {
 	}
 }
 
-// endpoint wraps h in the shared middleware stack: root span (with the
-// trace id echoed in the X-Trace-Id response header), admission control,
-// request-size cap, one envelope parse, per-request deadline, response
-// rendering (with the span tree merged in for "explain": true), latency
-// histogram, request/timeout/client-closed counters, and a structured
-// access log line.
+// rootSpan is a request's root span, shared by both wrappers (endpoint
+// and traceEndpoint) so every request has one span lifecycle: start,
+// X-Trace-Id header, status attribute, finish.
+type rootSpan struct {
+	*obs.Span
+	s     *Server
+	r     *http.Request
+	trace string
+}
+
+// startRoot starts the root span of a request, named "http.<endpoint>",
+// and names its trace in the X-Trace-Id response header, so any client
+// error report can be joined to the recorded trace.
+func (s *Server) startRoot(w http.ResponseWriter, r *http.Request, spanName string) (context.Context, rootSpan) {
+	ctx, span := s.tracer.StartRoot(r.Context(), spanName)
+	trace := span.TraceID()
+	w.Header().Set("X-Trace-Id", trace)
+	return ctx, rootSpan{span, s, r, trace}
+}
+
+// finish sets the status attribute and finishes the root span, which
+// derives the request's series (Server.spanFinished), then writes the
+// access-log line with the span's duration.
+func (rs rootSpan) finish(code int) {
+	rs.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
+	rs.Finish()
+	// path and remote are attacker-controlled: %q-quote them so a
+	// crafted URL cannot inject fake key=value pairs or newlines into
+	// the log stream.
+	rs.s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
+		rs.r.Method, rs.r.URL.Path, strings.TrimPrefix(rs.Name(), "http."), code,
+		float64(rs.Duration().Microseconds())/1000, rs.r.RemoteAddr, rs.trace)
+}
+
+// fail finishes the root span with code and writes the error body.
+func (rs rootSpan) fail(w http.ResponseWriter, code int, msg string) {
+	rs.finish(code)
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// endpoint wraps h in the shared middleware stack: root span (see
+// rootSpan), admission control, request-size cap, one envelope parse,
+// per-request deadline, and response rendering (with the span tree
+// added for "explain": true). Every request, including the ones that
+// admission control or the body cap rejects, finishes its root span
+// exactly once, before the response is written.
 func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
+	spanName := "http." + name
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		code := http.StatusOK
-
-		// Every request — including the ones admission control or the
-		// body cap rejects — runs under a root span: its id goes out in
-		// the X-Trace-Id header so any client error report can be joined
-		// to the recorded trace, and its finish feeds the rwd_span_*
-		// metrics, the slow-op log, and the flight recorder whether or
-		// not the client asked for explain mode.
-		rctx, span := s.tracer.StartRoot(r.Context(), "http."+name)
-		traceID := span.TraceID()
-		w.Header().Set("X-Trace-Id", traceID)
-		finished := false
-		finish := func() {
-			if !finished {
-				finished = true
-				span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
-				span.Finish()
-			}
-		}
-
-		defer func() {
-			finish()
-			elapsed := time.Since(start)
-			s.reqTotal.With(name, fmt.Sprintf("%d", code)).Inc()
-			s.latency.With(name).Observe(elapsed.Seconds())
-			switch code {
-			case http.StatusGatewayTimeout:
-				s.timeouts.With(name).Inc()
-			case http.StatusRequestTimeout:
-				s.clientClosed.With(name).Inc()
-			}
-			// path and remote are attacker-controlled: %q-quote them so a
-			// crafted URL cannot inject fake key=value pairs or newlines
-			// into the log stream.
-			s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
-				r.Method, r.URL.Path, name, code, float64(elapsed.Microseconds())/1000, r.RemoteAddr, traceID)
-		}()
+		rctx, root := s.startRoot(w, r, spanName)
 
 		// Admission control: shed load before reading the body so an
 		// overloaded server spends no work on requests it will not serve.
@@ -199,8 +204,7 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 		case s.sem <- struct{}{}:
 		default:
 			s.rejected.With("overload").Inc()
-			code = http.StatusTooManyRequests
-			writeJSON(w, code, map[string]string{"error": "server overloaded, retry later"})
+			root.fail(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}
 		slot := &slotGuard{sem: s.sem, detached: &s.detached}
@@ -211,13 +215,11 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				s.rejected.With("too_large").Inc()
-				code = http.StatusRequestEntityTooLarge
-				writeJSON(w, code, map[string]string{
-					"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+				root.fail(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 				return
 			}
-			code = http.StatusBadRequest
-			writeJSON(w, code, map[string]string{"error": "reading body: " + err.Error()})
+			root.fail(w, http.StatusBadRequest, "reading body: "+err.Error())
 			return
 		}
 
@@ -231,14 +233,12 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 
 		out, aerr := h(ctx, req)
 		if aerr != nil {
-			code = aerr.status
-			finish()
-			writeJSON(w, code, map[string]string{"error": aerr.msg})
+			root.fail(w, aerr.status, aerr.msg)
 			return
 		}
-		finish()
+		root.finish(http.StatusOK)
 		if req.env.Explain {
-			out = withTrace(out, span.Tree())
+			out = withTrace(out, root.Tree())
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
@@ -277,21 +277,21 @@ func parseEnvelope(req *request) envelope {
 	return env
 }
 
-// withTrace merges the span tree into the response object under a
-// "trace" key. Responses are structs or maps that marshal to JSON
-// objects; if re-marshaling fails the verdict is returned untouched
-// rather than lost.
+// withTrace adds the span tree to the response object under a "trace"
+// key. It marshals the response and the tree once each and splices the
+// tree in before the object's closing brace. A response that does not
+// marshal to a JSON object is returned untouched rather than lost.
 func withTrace(out any, tree *obs.Node) any {
 	raw, err := json.Marshal(out)
-	if err != nil {
+	t, terr := json.Marshal(tree)
+	if err != nil || terr != nil || len(raw) < 2 || raw[0] != '{' {
 		return out
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return out
+	key := `,"trace":`
+	if len(raw) == 2 {
+		key = key[1:] // empty object: no separator
 	}
-	m["trace"] = tree
-	return m
+	return json.RawMessage(slices.Concat(raw[:len(raw)-1], []byte(key), t, []byte("}")))
 }
 
 // deadline applies the default to the envelope's deadline and clamps to

@@ -2,13 +2,17 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func discardLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -207,5 +211,28 @@ func TestStreamingBodyContentTypes(t *testing.T) {
 		if got := streamingBody(r); got != want {
 			t.Errorf("streamingBody(%q) = %v, want %v", ct, got, want)
 		}
+	}
+}
+
+// TestWithTraceSplicesTree checks the one-pass explain encoding: the
+// tree lands under "trace" after the response's own fields, an empty
+// object gets no stray comma, and a non-object response is returned
+// untouched.
+func TestWithTraceSplicesTree(t *testing.T) {
+	tree := &obs.Node{Name: "http.x", DurationMS: 1.5}
+	for _, c := range []struct {
+		out  any
+		want string
+	}{
+		{map[string]int{"a": 1}, `{"a":1,"trace":{"name":"http.x","duration_ms":1.5}}`},
+		{struct{}{}, `{"trace":{"name":"http.x","duration_ms":1.5}}`},
+	} {
+		raw, err := json.Marshal(withTrace(c.out, tree))
+		if err != nil || string(raw) != c.want {
+			t.Errorf("withTrace(%v) = %s, %v; want %s", c.out, raw, err, c.want)
+		}
+	}
+	if out := withTrace([]int{1}, tree); !reflect.DeepEqual(out, []int{1}) {
+		t.Errorf("non-object response changed: %v", out)
 	}
 }

@@ -19,9 +19,14 @@
 //   - verdict cache: containment verdicts are cached under canonical
 //     renderings of the parsed inputs, so syntactically different but
 //     identical requests hit;
-//   - observability: per-endpoint latency histograms, request/timeout/
-//     rejection counters, in-flight and cache gauges on GET /metrics in
-//     Prometheus text format, plus structured access logs.
+//   - observability: every request runs under a root span. When it
+//     finishes, Tracer.OnFinish (spanFinished) derives every per-request
+//     series on GET /metrics: request/timeout/client-closed counters,
+//     per-op and per-span latency histograms, and span cost counters.
+//     The same hook feeds the flight recorder (GET /v1/traces) and the
+//     workload profile (GET /v1/stats). Slow requests are found with
+//     /v1/traces?sort=slowest and the /v1/stats anomaly list. Each
+//     request also writes one structured access-log line.
 package service
 
 import (
@@ -61,13 +66,6 @@ type Config struct {
 	// AnalyzeWorkers bounds the worker pool of /v1/analyze;
 	// <= 0 means GOMAXPROCS.
 	AnalyzeWorkers int
-	// SlowOpThreshold is the span duration above which the slow-op log
-	// emits a structured line; <= 0 means 500ms. Set very high to
-	// effectively disable.
-	SlowOpThreshold time.Duration
-	// SlowOpSample emits 1 of every SlowOpSample slow spans (the rest
-	// are counted, not logged); <= 1 emits all.
-	SlowOpSample int64
 	// TraceCapacity bounds the flight-recorder ring (retained root
 	// span trees, queryable via GET /v1/traces); 0 means 1024, < 0
 	// disables the recorder entirely.
@@ -108,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.AnalyzeWorkers <= 0 {
 		c.AnalyzeWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.SlowOpThreshold <= 0 {
-		c.SlowOpThreshold = 500 * time.Millisecond
-	}
 	if c.ProfileWindow <= 0 {
 		c.ProfileWindow = time.Minute
 	}
@@ -145,7 +140,6 @@ type Server struct {
 	store *store.Store
 
 	reqTotal     *metrics.CounterVec   // endpoint, code
-	latency      *metrics.HistogramVec // endpoint
 	rejected     *metrics.CounterVec   // reason
 	timeouts     *metrics.CounterVec   // endpoint
 	clientClosed *metrics.CounterVec   // endpoint
@@ -175,8 +169,6 @@ func New(cfg Config) *Server {
 	}
 	s.reqTotal = s.reg.CounterVec("rwdserve_requests_total",
 		"Requests served, by endpoint and HTTP status code.", "endpoint", "code")
-	s.latency = s.reg.HistogramVec("rwdserve_request_seconds",
-		"Request latency in seconds, by endpoint.", metrics.DefBuckets, "endpoint")
 	s.rejected = s.reg.CounterVec("rwdserve_rejected_total",
 		"Requests rejected before reaching an engine, by reason.", "reason")
 	s.timeouts = s.reg.CounterVec("rwdserve_timeouts_total",
@@ -189,21 +181,21 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("rwdserve_detached_engines",
 		"Engine goroutines still computing after their request ended; each holds its admission slot until it exits.",
 		func() float64 { return float64(s.detached.Load()) })
-	s.reg.GaugeFunc("rwdserve_cache_hits_total",
+	s.reg.CounterFunc("rwdserve_cache_hits_total",
 		"Verdict-cache hits.", func() float64 { return float64(s.cache.Stats().Hits) })
-	s.reg.GaugeFunc("rwdserve_cache_misses_total",
+	s.reg.CounterFunc("rwdserve_cache_misses_total",
 		"Verdict-cache misses.", func() float64 { return float64(s.cache.Stats().Misses) })
-	s.reg.GaugeFunc("rwdserve_cache_evictions_total",
+	s.reg.CounterFunc("rwdserve_cache_evictions_total",
 		"Verdict-cache evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_cache_entries",
 		"Verdict-cache occupancy.", func() float64 { return float64(s.cache.Stats().Len) })
 
-	// Span telemetry: every finished span of every request feeds a
-	// duration histogram and its cost counters, keyed by span name, so
-	// the cost of determinization vs. product search vs. shard merge is
-	// visible on /metrics even when no client asks for explain mode.
+	// Span telemetry, derived in spanFinished: the cost counters of
+	// every span and the durations of the spans below a root, by span
+	// name, so the cost of determinization vs. product search vs. shard
+	// merge is visible on /metrics without explain mode.
 	s.spanSecs = s.reg.HistogramVec("rwd_span_seconds",
-		"Span durations in seconds, by span name.", metrics.DefBuckets, "span")
+		"Durations in seconds of the spans below a root span, by span name.", metrics.DefBuckets, "span")
 	s.spanCost = s.reg.CounterVec("rwd_span_cost_total",
 		"Accumulated span cost counters (states expanded, queries ingested, ...), by span name and counter.",
 		"span", "counter")
@@ -234,85 +226,35 @@ func New(cfg Config) *Server {
 		BucketWidth:   cfg.ProfileWindow / 10,
 		WindowBuckets: 10,
 	})
-	// rwd_op_duration_seconds mirrors the profile engine's per-op view
-	// onto /metrics as conventional histogram series.
+	// rwd_op_duration_seconds is the per-op latency of every finished
+	// root span: the one request-latency histogram.
 	s.opDur = s.reg.HistogramVec("rwd_op_duration_seconds",
 		"Finished-request durations in seconds, by trace op and HTTP status.",
 		metrics.DefBuckets, "op", "status")
-	s.tracer = &obs.Tracer{
-		OnFinish: func(sp *obs.Span) {
-			s.spanSecs.With(sp.Name()).Observe(sp.Duration().Seconds())
-			for name, v := range sp.Counters() {
-				if v != 0 {
-					s.spanCost.With(sp.Name(), name).Add(v)
-				}
-			}
-			switch sp.Name() {
-			case "store.flush":
-				s.storeFlushSecs.Observe(sp.Duration().Seconds())
-			case "store.compact":
-				s.storeCompactions.Inc()
-			}
-			// Diagnostic reads (/v1/traces*, /v1/stats) are excluded so
-			// observing the observability surfaces never pollutes them.
-			if sp.Parent() == nil && !strings.HasPrefix(sp.Name(), "http.trace") &&
-				sp.Name() != "http.stats" {
-				if tr := recorder.FromSpan(sp); tr != nil {
-					s.flight.Record(tr)
-					s.profile.Observe(tr)
-					status := tr.Status
-					if status == "" {
-						status = "unknown"
-					}
-					s.opDur.With(tr.Op, status).Observe(sp.Duration().Seconds())
-				}
-			}
-		},
-		Slow: &obs.SlowLog{
-			Threshold: cfg.SlowOpThreshold,
-			Sample:    cfg.SlowOpSample,
-			Logger:    cfg.Logger,
-		},
-	}
+	s.tracer = &obs.Tracer{OnFinish: s.spanFinished}
 	if s.flight != nil {
-		s.reg.GaugeFunc("rwd_traces_recorded_total",
+		s.reg.CounterFunc("rwd_traces_recorded_total",
 			"Root span trees admitted to the flight recorder.",
 			func() float64 { return float64(s.flight.Stats().Recorded) })
 		s.reg.GaugeFunc("rwd_traces_retained",
 			"Root span trees currently held in the flight-recorder ring.",
 			func() float64 { return float64(s.flight.Stats().Retained) })
-		s.reg.GaugeFunc("rwd_traces_evicted_total",
+		s.reg.CounterFunc("rwd_traces_evicted_total",
 			"Flight-recorder traces evicted to respect the capacity or byte budget.",
 			func() float64 { return float64(s.flight.Stats().Evicted) })
-		s.reg.GaugeFunc("rwd_traces_dropped_total",
+		s.reg.CounterFunc("rwd_traces_dropped_total",
 			"Traces never admitted because a single tree exceeded the whole byte budget.",
 			func() float64 { return float64(s.flight.Stats().Dropped) })
 		s.reg.GaugeFunc("rwd_trace_bytes",
 			"Exported-tree JSON bytes currently retained by the flight recorder.",
 			func() float64 { return float64(s.flight.Stats().Bytes) })
 	}
-	s.reg.GaugeFunc("rwd_profile_observed_total",
+	s.reg.CounterFunc("rwd_profile_observed_total",
 		"Finished traces folded into the workload-profile engine.",
 		func() float64 { return float64(s.profile.Observed()) })
-	s.reg.GaugeFunc("rwd_profile_anomalies_total",
+	s.reg.CounterFunc("rwd_profile_anomalies_total",
 		"Traces flagged by the profile engine's cost-model residual scoring.",
 		func() float64 { return float64(s.profile.AnomalyCount()) })
-	s.reg.GaugeFunc("rwd_slow_ops_seen_total",
-		"Spans that exceeded the slow-op threshold.",
-		func() float64 { return float64(s.tracer.Slow.Seen()) })
-	s.reg.GaugeFunc("rwd_slow_ops_logged_total",
-		"Slow spans actually emitted to the log (the rest were sampled out).",
-		func() float64 { return float64(s.tracer.Slow.Logged()) })
-
-	// Process-wide cost counters for context-free code paths (the regex
-	// derivative engine is pure recursion with no ctx parameter).
-	s.reg.GaugeFunc("rwd_regex_derivative_steps_total",
-		"Brzozowski derivative steps taken process-wide.",
-		func() float64 { return float64(obs.Global("regex_derivative_steps").Value()) })
-	s.reg.GaugeFunc("rwd_regex_similarity_dedup_hits_total",
-		"Union branches removed by similarity dedup process-wide.",
-		func() float64 { return float64(obs.Global("regex_similarity_dedup_hits").Value()) })
-
 	// Process self-metrics: enough to spot a leak or a runaway request
 	// fleet from the scrape alone.
 	s.reg.GaugeFunc("go_goroutines",
@@ -348,6 +290,57 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// spanFinished is the tracer's OnFinish hook and the one place where
+// per-request series are derived. Every span adds its cost counters to
+// rwd_span_cost_total, and the store spans feed their own families. A
+// span below a root adds its duration to rwd_span_seconds. A root span
+// (one request, or startup work) adds its duration to
+// rwd_op_duration_seconds. A root named http.<endpoint> also counts the
+// request by the status attribute its wrapper set (see startRoot). The
+// flight recorder and the workload profile take every root except the
+// diagnostic reads (/v1/traces*, /v1/stats), so observing them never
+// shifts what they report.
+func (s *Server) spanFinished(sp *obs.Span) {
+	name, secs := sp.Name(), sp.Duration().Seconds()
+	for counter, v := range sp.Counters() {
+		if v != 0 {
+			s.spanCost.With(name, counter).Add(v)
+		}
+	}
+	switch name {
+	case "store.flush":
+		s.storeFlushSecs.Observe(secs)
+	case "store.compact":
+		s.storeCompactions.Inc()
+	}
+	if sp.Parent() != nil {
+		s.spanSecs.With(name).Observe(secs)
+		return
+	}
+	status := sp.Attr(recorder.StatusAttr)
+	if status == "" {
+		status = "unknown"
+	}
+	op, isRequest := strings.CutPrefix(name, "http.")
+	s.opDur.With(op, status).Observe(secs)
+	if isRequest {
+		s.reqTotal.With(op, status).Inc()
+		switch status {
+		case "504":
+			s.timeouts.With(op).Inc()
+		case "408":
+			s.clientClosed.With(op).Inc()
+		}
+	}
+	if isRequest && (strings.HasPrefix(op, "trace") || op == "stats") {
+		return
+	}
+	if tr := recorder.FromSpan(sp); tr != nil {
+		s.flight.Record(tr)
+		s.profile.Observe(tr)
+	}
 }
 
 // Handler returns the fully routed handler.

@@ -368,7 +368,7 @@ func TestMetricsExposition(t *testing.T) {
 	text := string(raw)
 	for _, want := range []string{
 		`rwdserve_requests_total{endpoint="membership",code="200"} 1`,
-		"# TYPE rwdserve_request_seconds histogram",
+		`rwd_op_duration_seconds_count{op="membership",status="200"} 1`,
 		"rwdserve_inflight",
 		"rwdserve_cache_entries",
 	} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs/recorder"
@@ -16,29 +15,21 @@ import (
 // X-Trace-Id response header, and format=perfetto renders the selection
 // as Chrome trace-event JSON loadable in Perfetto.
 
-// traceEndpoint is the lightweight middleware of the trace query
-// endpoints: a root span (excluded from the recorder so reading it
-// never pollutes it), the X-Trace-Id header, request accounting, and
-// the access log line — but no admission gate, body cap, or deadline:
-// the recorder exists to diagnose a saturated server, so its reads
-// must not be shed by the very saturation under diagnosis.
+// traceEndpoint is the lightweight middleware of the diagnostic
+// endpoints: the shared root span (excluded from the recorder and the
+// profile so reading them never pollutes them) — but no admission gate,
+// body cap, or deadline: the recorder exists to diagnose a saturated
+// server, so its reads must not be shed by the very saturation under
+// diagnosis.
 func (s *Server) traceEndpoint(name string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request) *apiError) http.Handler {
+	spanName := "http." + name
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		code := http.StatusOK
-		ctx, span := s.tracer.StartRoot(r.Context(), "http."+name)
-		w.Header().Set("X-Trace-Id", span.TraceID())
+		ctx, root := s.startRoot(w, r, spanName)
 		if aerr := h(ctx, w, r); aerr != nil {
-			code = aerr.status
-			writeJSON(w, code, map[string]string{"error": aerr.msg})
+			root.fail(w, aerr.status, aerr.msg)
+			return
 		}
-		span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
-		span.Finish()
-		elapsed := time.Since(start)
-		s.reqTotal.With(name, fmt.Sprintf("%d", code)).Inc()
-		s.latency.With(name).Observe(elapsed.Seconds())
-		s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
-			r.Method, r.URL.Path, name, code, float64(elapsed.Microseconds())/1000, r.RemoteAddr, span.TraceID())
+		root.finish(http.StatusOK)
 	})
 }
 
